@@ -33,15 +33,11 @@ from collections import Counter
 from typing import Dict, FrozenSet, Optional, Set
 
 from repro.core.extended_dtd import ElementRecord, ExtendedDTD
+from repro.dtd.dtd import DTD
 from repro.similarity.evaluation import DocumentEvaluation, evaluate_document
 from repro.similarity.matcher import StructureMatcher
 from repro.similarity.triple import SimilarityConfig
 from repro.xmltree.document import Document, Element
-
-
-def _occurrences(element: Element) -> Counter:
-    """Occurrence count of each direct-subelement tag."""
-    return Counter(element.child_tags())
 
 
 def _co_repetition_groups(occurrences: Counter) -> Dict[FrozenSet[str], int]:
@@ -69,6 +65,11 @@ class Recorder:
         # and perf counters; recording always matches tags exactly, so
         # callers must not pass a thesaurus-backed matcher here
         self._matcher = matcher or StructureMatcher(extended.dtd, config)
+        # ``declared_labels()`` per declaration, for the DTD object they
+        # were read from: evolutions swap ``extended.dtd`` under a
+        # recorder that outlives them
+        self._labels: Dict[str, FrozenSet[str]] = {}
+        self._labels_dtd: Optional[DTD] = None
 
     # ------------------------------------------------------------------
 
@@ -110,39 +111,39 @@ class Recorder:
 
     # ------------------------------------------------------------------
 
+    def _declared_labels(self, name: str) -> FrozenSet[str]:
+        """``alphabeta`` of the declaration of ``name`` (empty when
+        undeclared), cached per DTD object."""
+        dtd = self.extended.dtd
+        if dtd is not self._labels_dtd:
+            self._labels = {}
+            self._labels_dtd = dtd
+        labels = self._labels.get(name)
+        if labels is None:
+            decl = dtd.get(name)
+            labels = decl.declared_labels() if decl else frozenset()
+            self._labels[name] = labels
+        return labels
+
     def _record_valid(self, record: ElementRecord, element: Element) -> None:
         record.valid_count += 1
         for attribute in element.attributes:
             record.attribute_counts[attribute] += 1
-        occurrences = _occurrences(element)
-        decl = self.extended.dtd[record.name]
-        for label in decl.declared_labels():
-            record.valid_stats_for(label).observe(occurrences.get(label, 0))
+        tags = element.structure_info().child_tags
+        for label in self._declared_labels(record.name):
+            record.valid_stats_for(label).observe(tags.count(label))
 
     def _record_invalid(self, record: ElementRecord, element: Element) -> None:
         record.invalid_count += 1
-        for attribute in element.attributes:
-            record.attribute_counts[attribute] += 1
-        occurrences = _occurrences(element)
-        sequence = frozenset(occurrences)
-        record.sequences[sequence] += 1
-        record.observe_ordered_sequence(tuple(element.child_tags()))
-        if element.has_text():
-            record.text_count += 1
-        if not occurrences and not element.has_text():
-            record.empty_count += 1
-        for tag in element.child_tags():  # first-seen order, document order
-            if tag not in record.labels:
-                record.labels[tag] = len(record.labels)
-        for tag, count in occurrences.items():
-            record.stats_for(tag).observe(count)
-        for group, _count in _co_repetition_groups(occurrences).items():
-            record.groups[group] += 1
+        self._record_structure(record, element)
         # nested recording of labels unknown to the whole DTD
-        decl = self.extended.dtd.get(record.name)
-        declared_here = decl.declared_labels() if decl else frozenset()
-        for child in element.element_children():
-            if child.tag in self.extended.dtd or child.tag in declared_here:
+        declared_here = self._declared_labels(record.name)
+        for child in element.children:
+            if (
+                not isinstance(child, Element)
+                or child.tag in self.extended.dtd
+                or child.tag in declared_here
+            ):
                 continue
             self._record_plus(record.plus_record_for(child.tag), child)
 
@@ -153,23 +154,30 @@ class Recorder:
         only the invalid-side structures are filled.
         """
         record.invalid_count += 1
+        self._record_structure(record, element)
+        for child in element.children:
+            if not isinstance(child, Element) or child.tag in self.extended.dtd:
+                continue
+            self._record_plus(record.plus_record_for(child.tag), child)
+
+    @staticmethod
+    def _record_structure(record: ElementRecord, element: Element) -> None:
+        """The invalid-side structures of one instance, from its census."""
         for attribute in element.attributes:
             record.attribute_counts[attribute] += 1
-        occurrences = _occurrences(element)
+        info = element.structure_info()
+        tags = info.child_tags
+        occurrences = Counter(tags)
         record.sequences[frozenset(occurrences)] += 1
-        record.observe_ordered_sequence(tuple(element.child_tags()))
-        if element.has_text():
+        record.observe_ordered_sequence(tags)
+        if info.text_count:
             record.text_count += 1
-        if not occurrences and not element.has_text():
+        elif not tags:
             record.empty_count += 1
-        for tag in element.child_tags():
+        for tag in tags:  # first-seen order, document order
             if tag not in record.labels:
                 record.labels[tag] = len(record.labels)
         for tag, count in occurrences.items():
             record.stats_for(tag).observe(count)
         for group, _count in _co_repetition_groups(occurrences).items():
             record.groups[group] += 1
-        for child in element.element_children():
-            if child.tag in self.extended.dtd:
-                continue
-            self._record_plus(record.plus_record_for(child.tag), child)

@@ -14,7 +14,7 @@ paper — the structural algorithms operate on the element hierarchy only.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Union
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.xmltree.tree import Tree
 
@@ -25,7 +25,7 @@ PCDATA_LABEL = "#PCDATA"
 
 
 class StructureInfo(NamedTuple):
-    """Merkle-style summary of an element subtree.
+    """Merkle-style summary of an element subtree: its *census*.
 
     ``fingerprint`` hashes exactly the structure the similarity matcher
     sees: the tag, plus the ordered sequence of element-child
@@ -37,14 +37,27 @@ class StructureInfo(NamedTuple):
     fingerprints instead of object identity.
 
     ``height`` is the element-edge height (a childless element has
-    height 0) and ``weight`` the subtree weight — element vertices plus
-    non-whitespace text leaves, the same value as
+    height 0) and ``size`` the subtree weight as an exact integer —
+    element vertices plus non-whitespace text leaves; :attr:`weight` is
+    the same number as a float, the value of
     :func:`repro.similarity.matcher.subtree_weight`.
+
+    ``child_tags`` holds the tags of the direct subelements in order
+    (every leaf shares the empty tuple) and ``text_count`` the number
+    of direct text children with non-whitespace content, so validation,
+    evaluation synthesis, profiling and recording read them here instead
+    of rebuilding child lists.
     """
 
     fingerprint: bytes
     height: int
-    weight: float
+    size: int
+    child_tags: Tuple[str, ...]
+    text_count: int
+
+    @property
+    def weight(self) -> float:
+        return float(self.size)
 
 
 _TEXT_MARK = b"\x00T"
@@ -57,6 +70,9 @@ class Text:
 
     def __init__(self, value: str):
         self.value = value
+
+    def __reduce__(self):
+        return Text, (self.value,)
 
     def copy(self) -> "Text":
         return Text(self.value)
@@ -127,9 +143,11 @@ class Element:
 
     def iter_elements(self) -> Iterator["Element"]:
         """Yield this element and every descendant element, preorder."""
-        yield self
-        for child in self.element_children():
-            yield from child.iter_elements()
+        stack = [self]
+        while stack:
+            element = stack.pop()
+            yield element
+            stack.extend(reversed(element.element_children()))
 
     def find(self, tag: str) -> Optional["Element"]:
         """First direct subelement with the given tag, or ``None``."""
@@ -144,19 +162,22 @@ class Element:
 
     def element_count(self) -> int:
         """Number of element vertices in this subtree (this one included)."""
-        return 1 + sum(child.element_count() for child in self.element_children())
+        return sum(1 for _ in self.iter_elements())
 
     # ------------------------------------------------------------------
     # Structural fingerprinting
     # ------------------------------------------------------------------
 
     def structure_info(self) -> StructureInfo:
-        """The cached :class:`StructureInfo` of this subtree.
+        """The cached :class:`StructureInfo` (census) of this subtree.
 
-        Computed once per element (Merkle-style, bottom-up: each
-        element hashes its tag with its children's fingerprints) and
-        cached on the instance; subtrees shared across a stream of
-        documents are recognised in O(1) after the first pass.
+        The parser computes it for every element as the element's close
+        tag is seen.  A hand-built, copied or unpickled tree computes it
+        here on first use: bottom-up over an explicit stack (each
+        element hashes its tag with its children's fingerprints), then
+        cached on every element of the subtree, so subtrees shared
+        across a stream of documents are recognised in O(1) after the
+        first pass.
 
         The cache assumes the subtree is no longer mutated — the
         pipeline treats parsed documents as immutable.  Code that *does*
@@ -166,24 +187,20 @@ class Element:
         """
         info = self._structure
         if info is None:
-            digest = hashlib.blake2b(digest_size=16)
-            digest.update(self.tag.encode("utf-8"))
-            digest.update(b"\x00(")
-            height = 0
-            weight = 1.0
-            for child in self.children:
-                if isinstance(child, Element):
-                    child_info = child.structure_info()
-                    digest.update(b"E")
-                    digest.update(child_info.fingerprint)
-                    if child_info.height >= height:
-                        height = child_info.height + 1
-                    weight += child_info.weight
-                elif child.value.strip():
-                    digest.update(_TEXT_MARK)
-                    weight += 1.0
-            info = StructureInfo(digest.digest(), height, weight)
-            self._structure = info
+            stack = [self]
+            while stack:
+                element = stack[-1]
+                pending = [
+                    child
+                    for child in element.children
+                    if isinstance(child, Element) and child._structure is None
+                ]
+                if pending:
+                    stack.extend(pending)
+                else:
+                    stack.pop()
+                    element._structure = _census(element.tag, element.children)
+            info = self._structure
         return info
 
     def structural_fingerprint(self) -> bytes:
@@ -191,16 +208,14 @@ class Element:
         return self.structure_info().fingerprint
 
     def invalidate_structure_info(self) -> None:
-        """Drop cached structure info for this subtree (recursive).
+        """Drop cached structure info for this subtree.
 
         Call after mutating an element whose info may already have been
         computed; ancestors must be invalidated by the caller (elements
         hold no parent links).
         """
-        self._structure = None
-        for child in self.children:
-            if isinstance(child, Element):
-                child.invalidate_structure_info()
+        for element in self.iter_elements():
+            element._structure = None
 
     # ------------------------------------------------------------------
     # Construction / transformation
@@ -218,6 +233,11 @@ class Element:
             dict(self.attributes),
             [child.copy() for child in self.children],
         )
+
+    def __reduce__(self):
+        # the census is not pickled: the receiver rebuilds it on demand,
+        # so documents shipped to worker processes do not carry it
+        return Element, (self.tag, self.attributes, self.children)
 
     def to_tree(self, include_text: bool = True) -> Tree:
         """Labeled-tree view (paper Figure 2(b)).
@@ -298,6 +318,63 @@ class Document:
 
     def __repr__(self) -> str:
         return f"Document(root={self.root.tag!r})"
+
+
+#: the census of each leaf shape (a tag and its run of text markers),
+#: shared by every leaf of that shape: leaves are most elements, and a
+#: stream of documents repeats a few leaf shapes per tag.  Inner shapes
+#: are not kept: they vary far more, and a long-running service would
+#: hold on to every one it ever parsed.  Entries are pure functions of
+#: their keys, so threads racing on the table can only repeat work,
+#: never read a wrong census.
+_LEAF_CENSUSES: Dict[bytes, StructureInfo] = {}
+#: entries kept before :data:`_LEAF_CENSUSES` is emptied and refilled
+_LEAF_CENSUS_LIMIT = 4096
+
+
+def closed_element(
+    tag: str, attributes: Dict[str, str], children: List[Child]
+) -> Element:
+    """A new element with its census, built from its children's: the
+    parser's constructor, called as each close tag is seen."""
+    element = Element(tag, attributes, children)
+    element._structure = _census(tag, element.children)
+    return element
+
+
+def _census(tag: str, children: Sequence[Child]) -> StructureInfo:
+    """The census of an element from its children, whose own census
+    must already be cached (the parser closes children first; the lazy
+    path in :meth:`Element.structure_info` visits them first)."""
+    parts = [tag.encode("utf-8"), b"\x00("]
+    height = 0
+    size = 1
+    texts = 0
+    tags = []
+    for child in children:
+        if isinstance(child, Element):
+            info = child._structure
+            parts.append(b"E")
+            parts.append(info.fingerprint)
+            tags.append(child.tag)
+            if info.height >= height:
+                height = info.height + 1
+            size += info.size
+        elif child.value.strip():
+            parts.append(_TEXT_MARK)
+            texts += 1
+    preimage = b"".join(parts)
+    if tags:
+        fingerprint = hashlib.blake2b(preimage, digest_size=16).digest()
+        return StructureInfo(fingerprint, height, size + texts, tuple(tags), texts)
+    info = _LEAF_CENSUSES.get(preimage)
+    if info is None:
+        fingerprint = hashlib.blake2b(preimage, digest_size=16).digest()
+        info = StructureInfo(fingerprint, 0, 1 + texts, (), texts)
+        if len(_LEAF_CENSUSES) >= _LEAF_CENSUS_LIMIT:
+            _LEAF_CENSUSES.clear()
+        _LEAF_CENSUSES[preimage] = info
+    return info
 
 
 def element(tag: str, *children: Union[Element, Text, str], **attributes: str) -> Element:

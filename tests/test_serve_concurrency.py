@@ -82,6 +82,7 @@ def test_classify_sees_exactly_one_epoch():
 
             responses = []
             lock = threading.Lock()
+            saw_before = threading.Event()
             saw_after = threading.Event()
             stop = threading.Event()
 
@@ -93,7 +94,9 @@ def test_classify_sees_exactly_one_epoch():
                         assert status == 200
                         with lock:
                             responses.append(body)
-                        if body["snapshot_version"] > before["snapshot_version"]:
+                        if body["snapshot_version"] == before["snapshot_version"]:
+                            saw_before.set()
+                        elif body["snapshot_version"] > before["snapshot_version"]:
                             saw_after.set()
                 finally:
                     client.close()
@@ -101,6 +104,9 @@ def test_classify_sees_exactly_one_epoch():
             threads = [threading.Thread(target=reader) for _ in range(4)]
             for thread in threads:
                 thread.start()
+            # evolve only once a reader has recorded a pre-evolution
+            # response, so both epochs are guaranteed to be observed
+            assert saw_before.wait(timeout=10)
             status, _, evolved = setup.post("/evolve", {"dtd": "figure3"})
             assert status == 200
             # keep reading until every epoch has demonstrably been seen
