@@ -11,8 +11,8 @@ architecture"):
 
 - **tier 1**: a valid document scores exactly 1.0 (Section 3.1:
   fullness of the global measure coincides with validity), so a
-  linear-time automaton validation replaces the span DP and the
-  per-element evaluation is synthesized as all-common triples;
+  linear-time automaton validation replaces the span DP, and the
+  recorder, told the document is valid, skips every per-element check;
 - **tier 3**: :meth:`Classifier.classify` computes a cheap sound upper
   bound per DTD from tag-vocabulary overlap and evaluates DTDs
   best-bound-first, skipping every DTD whose bound cannot beat the
@@ -39,11 +39,7 @@ from repro.dtd.automaton import Validator
 from repro.dtd.dtd import DTD
 from repro.errors import ClassificationError
 from repro.perf import FastPathConfig, PerfCounters
-from repro.similarity.evaluation import (
-    DocumentEvaluation,
-    evaluate_document,
-    valid_document_evaluation,
-)
+from repro.similarity.evaluation import DocumentEvaluation, evaluate_document
 from repro.similarity.matcher import StructureMatcher
 from repro.similarity.tags import ExactTagMatcher, TagMatcher
 from repro.similarity.triple import EvalTriple, SimilarityConfig
@@ -153,10 +149,11 @@ class ClassificationResult:
         "document",
         "dtd_name",
         "similarity",
-        "evaluation",
+        "_evaluation",
         "_ranking",
         "evaluated",
         "pruned",
+        "proven_valid",
     )
 
     def __init__(
@@ -164,18 +161,18 @@ class ClassificationResult:
         document: Document,
         dtd_name: Optional[str],
         similarity: float,
-        evaluation: Optional[DocumentEvaluation],
+        evaluation: Union[None, DocumentEvaluation, Callable[[], DocumentEvaluation]],
         ranking: Union[Ranking, Callable[[], Ranking]],
         evaluated: Optional[Ranking] = None,
         pruned: Tuple[str, ...] = (),
+        proven_valid: bool = False,
     ):
         self.document = document
         #: the selected DTD, or ``None`` when below threshold (repository)
         self.dtd_name = dtd_name
         #: similarity against the best DTD (even when below threshold)
         self.similarity = similarity
-        #: full evaluation against the best DTD (None when no DTD exists)
-        self.evaluation = evaluation
+        self._evaluation = evaluation
         self._ranking = ranking
         #: the ``(name, similarity)`` pairs actually scored (best first);
         #: equals the full ranking unless tier-3 pruning skipped DTDs
@@ -187,6 +184,22 @@ class ClassificationResult:
         #: :attr:`ranking`); picklable parallel workers ship these two
         #: fields instead of forcing the lazy realization
         self.pruned = pruned
+        #: whether tier 1 proved the document valid against the selected
+        #: DTD (the recorder then skips every per-element check)
+        self.proven_valid = proven_valid
+
+    @property
+    def evaluation(self) -> Optional[DocumentEvaluation]:
+        """The full per-element evaluation against the selected DTD
+        (``None`` when the document went to the repository).
+
+        Nothing on the classify-and-record path reads it, so it is
+        computed on first access, against the DTD and matcher of
+        classification time (see :meth:`Classifier.deferred_evaluation`).
+        """
+        if callable(self._evaluation):
+            self._evaluation = self._evaluation()
+        return self._evaluation
 
     @property
     def ranking(self) -> Ranking:
@@ -430,9 +443,8 @@ class Classifier:
         evaluated = self.rank(document)
         best_name, best_similarity = evaluated[0]
         if tier1 and best_similarity == 1.0:
-            # recover whether the winner was a validity short-circuit
-            # (the validator is cached and linear, far cheaper than
-            # re-running the DP-backed evaluation below)
+            # recover whether the winner was a validity short-circuit,
+            # which spares the recorder its per-element checks
             if self._validators[best_name].is_valid(document):
                 short_circuited.add(best_name)
         return self._finish(document, evaluated, evaluated, (), short_circuited)
@@ -501,12 +513,11 @@ class Classifier:
                 document, None, best_similarity, None, ranking,
                 evaluated=evaluated, pruned=pruned,
             )
-        evaluation = self._best_evaluation(
-            document, best_name, best_name in short_circuited
-        )
         return ClassificationResult(
-            document, best_name, best_similarity, evaluation, ranking,
+            document, best_name, best_similarity,
+            self.deferred_evaluation(document, best_name), ranking,
             evaluated=evaluated, pruned=pruned,
+            proven_valid=best_name in short_circuited,
         )
 
     def deferred_ranking(
@@ -537,20 +548,18 @@ class Classifier:
 
         return realize
 
-    def _best_evaluation(
-        self, document: Document, name: str, short_circuited: bool
-    ) -> DocumentEvaluation:
-        """Evaluation against the winning DTD, synthesized when tier 1
-        proved validity (and the depth guard allows exact synthesis)."""
-        if (
-            short_circuited
-            and document.root.structure_info().height < self.config.max_depth
-        ):
-            self.counters.synthesized_evaluations += 1
-            return valid_document_evaluation(document, self._dtds[name], self.config)
-        return evaluate_document(
-            document,
-            self._dtds[name],
-            self.config,
-            matcher=self._matchers[name],
-        )
+    def deferred_evaluation(
+        self, document: Document, name: str
+    ) -> Callable[[], DocumentEvaluation]:
+        """A callable computing ``document``'s evaluation against the
+        DTD ``name`` lazily, with the DTD and matcher held *now* (like
+        :meth:`deferred_ranking`, so a later evolution cannot leak in).
+        The parallel merge path rebuilds worker results through this."""
+        dtd = self._dtds[name]
+        matcher = self._matchers[name]
+        config = self.config
+
+        def realize() -> DocumentEvaluation:
+            return evaluate_document(document, dtd, config, matcher=matcher)
+
+        return realize

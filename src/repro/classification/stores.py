@@ -102,19 +102,29 @@ class DocumentProfile(NamedTuple):
 
 
 def profile_document(document: Document) -> DocumentProfile:
-    """One cheap pass over a document: everything the bounds need."""
+    """Everything the bounds need, without a walk for a parsed document.
+
+    A parsed document carries the parser's per-tag tally, and its
+    subtree size counts each element and each non-whitespace text leaf
+    once, so the text leaves are the size minus the tally's total.  A
+    hand-built, copied or unpickled document has no tally and is walked.
+    """
     root = document.root
-    tag_counts: Dict[str, int] = {}
-    text_count = 0
-    stack = [root]
-    while stack:
-        element = stack.pop()
-        tag_counts[element.tag] = tag_counts.get(element.tag, 0) + 1
-        census = element.structure_info()
-        text_count += census.text_count
-        if census.child_tags:
-            stack.extend(element.element_children())
     info = root.structure_info()
+    tag_counts = document.tag_counts()
+    if tag_counts is not None:
+        text_count = info.size - sum(tag_counts.values())
+    else:
+        tag_counts = {}
+        text_count = 0
+        stack = [root]
+        while stack:
+            element = stack.pop()
+            tag_counts[element.tag] = tag_counts.get(element.tag, 0) + 1
+            census = element.structure_info()
+            text_count += census.text_count
+            if census.child_tags:
+                stack.extend(element.element_children())
     return DocumentProfile(
         tag_counts=tag_counts,
         text_count=text_count,

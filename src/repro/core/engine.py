@@ -157,18 +157,19 @@ class XMLSource:
         self._state_version += 1
         extended = ExtendedDTD(dtd)
         self.extended[dtd.name] = extended
-        # the recorder's matcher always matches tags exactly, but shares
-        # the source's fast-path settings and counters so structural
-        # interning also accelerates the recording phase
+        self.recorders[dtd.name] = self._recorder(extended)
+
+    def _recorder(self, extended: ExtendedDTD) -> Recorder:
+        """A recorder writing into ``extended``.  Its matcher always
+        matches tags exactly, but shares the source's fast-path settings
+        (which choose between the census and the span DP) and counters."""
         matcher = StructureMatcher(
-            dtd,
+            extended.dtd,
             self.similarity_config,
             fastpath=self.fastpath,
             counters=self.perf,
         )
-        self.recorders[dtd.name] = Recorder(
-            extended, self.similarity_config, matcher=matcher
-        )
+        return Recorder(extended, self.similarity_config, matcher=matcher)
 
     def _log_evolution(self, event: RepositoryDrained) -> None:
         if event.evolution is not None:

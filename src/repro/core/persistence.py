@@ -303,11 +303,7 @@ def source_from_json(
     for extended in extended_list:
         source.extended[extended.name] = extended
         # recorders must write into the restored aggregates
-        from repro.core.recorder import Recorder
-
-        source.recorders[extended.name] = Recorder(
-            extended, source.similarity_config
-        )
+        source.recorders[extended.name] = source._recorder(extended)
     source.documents_processed = data["documents_processed"]
     for xml in documents:
         source.repository.add(parse_document(xml))

@@ -349,6 +349,9 @@ class Validator:
         # per-declaration facts consulted on every element check:
         # (is_any, is_empty, allows_pcdata, is_mixed, declared_labels)
         self._decl_facts: Dict[str, Tuple[bool, bool, bool, bool, FrozenSet[str]]] = {}
+        # declarations whose local fullness the automaton cannot decide
+        # (see :meth:`content_is_full`)
+        self._undecided: Dict[str, bool] = {}
 
     def _automaton(self, name: str) -> Optional[ContentAutomaton]:
         if name not in self._automata:
@@ -439,6 +442,48 @@ class Validator:
         if is_mixed:
             return all(tag in allowed for tag in info.child_tags)
         automaton = self._automaton(element.tag)
+        assert automaton is not None  # decl exists
+        return automaton.accepts(info.child_tags)
+
+    def content_is_full(self, name: str, info: StructureInfo) -> Optional[bool]:
+        """Whether an element of declared tag ``name`` with census
+        ``info`` has full *local* similarity, or ``None`` when only the
+        span DP can tell.
+
+        Full local similarity is a membership test of the direct child
+        items — element tags and non-whitespace text runs — in the
+        content model, read with the similarity DP's rules rather than
+        the validator's: an ``EMPTY`` element may hold whitespace-only
+        text (the DP never sees it), ``ANY`` accepts everything, a mixed
+        model accepts text and its listed tags in any order, and text
+        under an element-only model is never matched.  ``ANY`` nested
+        inside a model and ``#PCDATA`` outside the two mixed forms
+        match spans the automaton does not model (the DTD parser admits
+        the first; content models built in code may hold both), so they
+        return ``None``.
+        """
+        facts = self._facts(name)
+        if facts is None:
+            return False
+        is_any, is_empty, allows_pcdata, is_mixed, allowed = facts
+        if is_any:
+            return True
+        if is_empty:
+            return not info.child_tags and not info.text_count
+        if is_mixed:
+            return all(tag in allowed for tag in info.child_tags)
+        undecided = self._undecided.get(name)
+        if undecided is None:
+            undecided = allows_pcdata or any(
+                node.label == cm.ANY
+                for node in self.dtd.get(name).content.iter_preorder()
+            )
+            self._undecided[name] = undecided
+        if undecided:
+            return None
+        if info.text_count:
+            return False
+        automaton = self._automaton(name)
         assert automaton is not None  # decl exists
         return automaton.accepts(info.child_tags)
 

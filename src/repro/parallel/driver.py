@@ -396,7 +396,7 @@ class ParallelDriver:
                                 for name in shard
                             )
                             screened_by_route[route] = screened
-                        dtd_name, similarity, evaluated, pruned, triple, elements = payload
+                        dtd_name, similarity, evaluated, pruned, proven_valid = payload
                         classification = rebuild_classification(
                             source.classifier,
                             document,
@@ -405,8 +405,7 @@ class ParallelDriver:
                                 similarity,
                                 evaluated,
                                 pruned + screened,
-                                triple,
-                                elements,
+                                proven_valid,
                             ),
                         )
                         source.perf.shard_skips += len(shard_map) - 1
@@ -476,7 +475,7 @@ class ParallelDriver:
                 result = retry.result()
             except Exception as retry_error:
                 if isinstance(retry_error, BrokenExecutor):
-                    pool.retire()
+                    pool.replace()
                 self._emit(
                     ParallelFallback(
                         epoch,
@@ -535,7 +534,7 @@ class ParallelDriver:
                 result = retry.result()
             except Exception as retry_error:
                 if isinstance(retry_error, BrokenExecutor):
-                    pool.retire()
+                    pool.replace()
                 self._emit(
                     ParallelFallback(
                         epoch, shard_index, len(chunk), repr(retry_error), self._delta()

@@ -16,6 +16,9 @@ Lifecycle:
 - ``pool.retire()`` discards a broken executor but keeps the pool — the
   next submit respins a fresh one (the driver calls this when a worker
   dies and the executor reports ``BrokenExecutor``);
+- ``pool.replace()`` retires and creates the successor at once (the
+  driver calls this when a chunk's retry breaks the executor too, so
+  the batch never ends without one);
 - ``pool.close()`` shuts the executor down for good (idempotent; the
   pool respins if submitted to again).
 
@@ -108,6 +111,15 @@ class WorkerPool:
         executor, self._executor = self._executor, None
         if executor is not None:
             executor.shutdown(wait=False, cancel_futures=True)
+
+    def replace(self) -> None:
+        """Retire a broken executor and create its successor at once
+        (its processes start on the first submit).  A batch whose retry
+        also broke the executor thus ends with a live one, whatever the
+        surviving workers had finished by then, and the next batch's
+        :meth:`lease` counts a reuse."""
+        self.retire()
+        self._ensure()
 
     def close(self) -> None:
         """Shut the executor down for good (idempotent)."""

@@ -17,12 +17,13 @@ Four shapes cross (or describe what crosses) the process boundary:
   classifier by fingerprint, so either way an unchanged snapshot is
   unpickled at most once per worker process.
 - *payload tuples* — one document's classification result as a plain
-  tuple ``(dtd_name, similarity, evaluated, pruned, document_triple,
-  elements)``: the decision, the eagerly-scored ranking head, the names
-  tier-3 pruning skipped (laziness is *preserved* across the boundary —
-  the parent rebuilds the deferred tail against its own matchers), and
-  the evaluation triples for accepted documents.  Tuples pickle to a
-  fraction of the bytes an attribute-bearing class instance costs.
+  tuple ``(dtd_name, similarity, evaluated, pruned, proven_valid)``:
+  the decision, the eagerly-scored ranking head, the names tier-3
+  pruning skipped, and whether tier 1 proved the document valid (all
+  the recorder needs).  Laziness is *preserved* across the boundary:
+  the parent rebuilds the deferred ranking tail and the deferred
+  evaluation against its own matchers.  Tuples pickle to a fraction of
+  the bytes an attribute-bearing class instance costs.
 - :class:`ChunkResult` — a shard's payload tuples plus the worker's
   sparse cumulative counter report (nonzero entries only, keyed for
   duplicate-safe merging) and — **only on traced epochs** — the
@@ -33,7 +34,7 @@ Four shapes cross (or describe what crosses) the process boundary:
 inverses up to object identity: the rebuilt
 :class:`~repro.classification.classifier.ClassificationResult` is bound
 to the parent's document and DTD objects, with float-identical
-similarities and triples (pickle round-trips floats bit-exactly).
+similarities (pickle round-trips floats bit-exactly).
 """
 
 from __future__ import annotations
@@ -46,23 +47,17 @@ from repro.classification.sharding import ShardedClassifier, ShardMap
 from repro.dtd.dtd import DTD
 from repro.parallel.pool import register_for_atexit
 from repro.perf import FastPathConfig, PerfCounters
-from repro.similarity.evaluation import DocumentEvaluation, ElementEvaluation
-from repro.similarity.triple import EvalTriple, SimilarityConfig
+from repro.similarity.triple import SimilarityConfig
 from repro.xmltree.document import Document
 
-#: (plus, minus, common)
-TripleTuple = Tuple[float, float, float]
-#: (declared, local triple, global triple) per element, preorder
-ElementTuple = Tuple[bool, TripleTuple, TripleTuple]
 #: one document's classification on the wire: (dtd_name, similarity,
-#: evaluated head, pruned names, document triple, element tuples)
+#: evaluated head, pruned names, proven valid)
 PayloadTuple = Tuple[
     Optional[str],
     float,
     Tuple[Tuple[str, float], ...],
     Tuple[str, ...],
-    Optional[TripleTuple],
-    Optional[Tuple[ElementTuple, ...]],
+    bool,
 ]
 
 
@@ -256,24 +251,14 @@ def payload_from(result: ClassificationResult) -> PayloadTuple:
 
     The eagerly-scored ranking head and the pruned names travel instead
     of the full ranking, so tier-3 pruning's savings survive the
-    process boundary.
+    process boundary; the evaluation does not travel at all.
     """
-    document_triple: Optional[TripleTuple] = None
-    elements: Optional[Tuple[ElementTuple, ...]] = None
-    evaluation = result.evaluation
-    if evaluation is not None:
-        document_triple = tuple(evaluation.triple)
-        elements = tuple(
-            (entry.declared, tuple(entry.local_triple), tuple(entry.global_triple))
-            for entry in evaluation.elements
-        )
     return (
         result.dtd_name,
         result.similarity,
         tuple(result.evaluated),
         tuple(result.pruned),
-        document_triple,
-        elements,
+        result.proven_valid,
     )
 
 
@@ -283,41 +268,22 @@ def rebuild_classification(
     """Rebind a worker payload tuple to the parent's live objects.
 
     Must run while the classifier still holds the epoch's DTD set
-    (the driver merges strictly before any evolution): the evaluation
-    attaches to the parent's DTD instance and the deferred ranking tail
-    captures the parent's matchers, exactly as a serial classification
-    at this point would have.
+    (the driver merges strictly before any evolution): the deferred
+    evaluation and ranking tail capture the parent's DTD instance and
+    matchers, exactly as a serial classification at this point would
+    have.
     """
-    dtd_name, similarity, evaluated, pruned, document_triple, elements = payload
+    dtd_name, similarity, evaluated, pruned, proven_valid = payload
     head = list(evaluated)
     if pruned:
         ranking = classifier.deferred_ranking(document, head, pruned)
     else:
         ranking = head
-    evaluation: Optional[DocumentEvaluation] = None
-    if dtd_name is not None:
-        config = classifier.config
-        dtd = classifier.dtd(dtd_name)
-        assert elements is not None and document_triple is not None
-        element_evaluations = [
-            ElementEvaluation(
-                element,
-                declared,
-                EvalTriple(*local_triple),
-                EvalTriple(*global_triple),
-                config,
-            )
-            for element, (declared, local_triple, global_triple) in zip(
-                document.root.iter_elements(), elements
-            )
-        ]
-        evaluation = DocumentEvaluation(
-            document,
-            dtd,
-            EvalTriple(*document_triple),
-            element_evaluations,
-            config,
-        )
+    evaluation = (
+        classifier.deferred_evaluation(document, dtd_name)
+        if dtd_name is not None
+        else None
+    )
     return ClassificationResult(
         document,
         dtd_name,
@@ -326,4 +292,5 @@ def rebuild_classification(
         ranking,
         evaluated=head,
         pruned=pruned,
+        proven_valid=proven_valid,
     )

@@ -28,7 +28,11 @@ class FastPathConfig(NamedTuple):
     ----------
     validity_short_circuit:
         Tier 1: run the Glushkov validator before the span DP; a valid
-        document scores 1.0 with a synthesized all-common evaluation.
+        document scores 1.0, and the recorder, told so, records every
+        element as locally valid without a check.  With this tier on,
+        the recorder decides local validity from each element's census
+        (the automaton again); off, it records from the span DP's
+        per-element evaluation, the reference path.
     structural_cache:
         Tier 2: key matcher results by structural fingerprint (LRU
         bounded by ``structural_cache_size``) instead of element
@@ -101,7 +105,6 @@ COUNTER_NAMES = (
     "documents_classified",
     "validations",
     "validity_short_circuits",
-    "synthesized_evaluations",
     "structural_cache_hits",
     "structural_cache_misses",
     "structural_cache_evictions",
@@ -169,8 +172,6 @@ class PerfCounters:
         self.validations = 0
         #: tier-1 hits: valid documents that skipped the span DP
         self.validity_short_circuits = 0
-        #: tier-1 evaluations synthesized without any DP
-        self.synthesized_evaluations = 0
         #: tier-2 fingerprint-cache hits (a whole DP run avoided)
         self.structural_cache_hits = 0
         #: tier-2 fingerprint-cache misses (DP ran, result interned)

@@ -127,6 +127,28 @@ class ClassifyStage(_SourceStage):
         ctx.dtd_name = classification.dtd_name
 
 
+def record_classified(
+    source: "XMLSource", document: Document, classification: ClassificationResult
+) -> None:
+    """Record an accepted document into its DTD's aggregates.
+
+    The recorder reads local validity from the census, skipping every
+    check when tier 1 proved the document valid.  On the reference path
+    (fast paths off) it records from the classification's evaluation —
+    unless a thesaurus matcher is active: its evaluation scores synonym
+    matches as (near-)valid, which would hide the very deviations tag
+    evolution needs, so recording then evaluates with exact tag
+    matching (the recorder's own matcher).
+    """
+    recorder = source.recorders[classification.dtd_name]
+    if recorder.reads_census:
+        recorder.record(document, proven_valid=classification.proven_valid)
+    elif source.tag_matcher is None:
+        recorder.record(document, classification.evaluation)
+    else:
+        recorder.record(document)
+
+
 class RecordStage(_SourceStage):
     """Recording phase: fold the document into its DTD's aggregates."""
 
@@ -135,15 +157,7 @@ class RecordStage(_SourceStage):
     def run(self, ctx: PipelineContext) -> None:
         source, name = self.source, ctx.dtd_name
         assert name is not None
-        # With a thesaurus matcher, the classifier's evaluation scores
-        # synonym matches as (near-)valid — reusing it would hide the
-        # very deviations tag evolution needs.  Recording always uses
-        # exact tag matching (the recorder's own matcher); the cheap
-        # reuse path stays for the exact-matching default.
-        evaluation = (
-            ctx.classification.evaluation if source.tag_matcher is None else None
-        )
-        source.recorders[name].record(ctx.document, evaluation)
+        record_classified(source, ctx.document, ctx.classification)
         self.pipeline.emit(
             DocumentRecorded(
                 ctx.document,
@@ -361,12 +375,7 @@ class DrainStage(_SourceStage):
                     source.repository.add(document)
                     continue
                 recovered += 1
-                evaluation = (
-                    classification.evaluation if source.tag_matcher is None else None
-                )
-                source.recorders[classification.dtd_name].record(
-                    document, evaluation
-                )
+                record_classified(source, document, classification)
         return recovered
 
     def _drain_indexed(
@@ -415,14 +424,7 @@ class DrainStage(_SourceStage):
                         continue
                     removed.append(doc_id)
                     recovered += 1
-                    evaluation = (
-                        classification.evaluation
-                        if source.tag_matcher is None
-                        else None
-                    )
-                    source.recorders[classification.dtd_name].record(
-                        document, evaluation
-                    )
+                    record_classified(source, document, classification)
             if removed:
                 source.repository.remove(removed)
         return recovered

@@ -26,7 +26,6 @@ from repro.similarity.evaluation import (
     evaluate_document,
     similarity,
     local_similarity,
-    valid_document_evaluation,
 )
 from repro.similarity.tags import TagMatcher, ExactTagMatcher, ThesaurusTagMatcher
 
@@ -39,7 +38,6 @@ __all__ = [
     "evaluate_document",
     "similarity",
     "local_similarity",
-    "valid_document_evaluation",
     "TagMatcher",
     "ExactTagMatcher",
     "ThesaurusTagMatcher",

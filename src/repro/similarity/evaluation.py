@@ -158,50 +158,6 @@ def evaluate_document(
     return DocumentEvaluation(document, dtd, document_triple, evaluations, config)
 
 
-def valid_document_evaluation(
-    document: Document,
-    dtd: DTD,
-    config: SimilarityConfig = SimilarityConfig(),
-) -> DocumentEvaluation:
-    """Synthesize the evaluation of a document *known to be valid*.
-
-    Section 3.1: for the global measure, fullness coincides with
-    validity — a valid document's optimal alignment matches every
-    vertex, so every triple is all-common and no span DP is needed.
-    For a valid document this returns values bit-identical to
-    :func:`evaluate_document` (asserted in ``tests/test_fastpath.py``):
-
-    - document triple: ``(0, 0, W)`` where ``W`` is the subtree weight
-      (element vertices + non-whitespace text leaves) — the root's tag
-      vertex is common, and recursively so is all content;
-    - per element: local triple ``(0, 0, n)`` with ``n`` its direct
-      item count, global triple ``(0, 0, w - 1)`` with ``w`` its
-      subtree weight (the element's own vertex excluded, as
-      :meth:`StructureMatcher.content_triple` does).
-
-    Callers must guarantee validity (``Validator.is_valid``), an exact
-    tag matcher, positive ``alpha``/``beta`` (a zero weight lets the DP
-    tie-break onto non-all-common optima), and a document shallower
-    than ``config.max_depth`` (beyond it the DP truncates recursion and
-    its common totals shrink).  The classifier's tier-1 fast path
-    checks all four.
-    """
-    evaluations: List[ElementEvaluation] = []
-    stack = [document.root]
-    while stack:  # preorder, like ``iter_elements``
-        element = stack.pop()
-        info = element.structure_info()
-        local_triple = EvalTriple(common=float(len(info.child_tags) + info.text_count))
-        global_triple = EvalTriple(common=info.size - 1.0)
-        evaluations.append(
-            ElementEvaluation(element, True, local_triple, global_triple, config)
-        )
-        if info.child_tags:
-            stack.extend(reversed(element.element_children()))
-    document_triple = EvalTriple(common=document.root.structure_info().weight)
-    return DocumentEvaluation(document, dtd, document_triple, evaluations, config)
-
-
 def similarity(
     document: Document, dtd: DTD, config: SimilarityConfig = SimilarityConfig()
 ) -> float:

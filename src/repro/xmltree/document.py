@@ -45,8 +45,8 @@ class StructureInfo(NamedTuple):
     ``child_tags`` holds the tags of the direct subelements in order
     (every leaf shares the empty tuple) and ``text_count`` the number
     of direct text children with non-whitespace content, so validation,
-    evaluation synthesis, profiling and recording read them here instead
-    of rebuilding child lists.
+    profiling and recording read them here instead of rebuilding child
+    lists.
     """
 
     fingerprint: bytes
@@ -285,7 +285,7 @@ class Element:
 class Document:
     """A parsed XML document: a root element plus optional prolog info."""
 
-    __slots__ = ("root", "doctype_name", "doctype_system", "encoding")
+    __slots__ = ("root", "doctype_name", "doctype_system", "encoding", "_tag_counts")
 
     def __init__(
         self,
@@ -298,6 +298,19 @@ class Document:
         self.doctype_name = doctype_name
         self.doctype_system = doctype_system
         self.encoding = encoding
+        self._tag_counts: Optional[Dict[str, int]] = None
+
+    def tag_counts(self) -> Optional[Dict[str, int]]:
+        """Elements per tag, as the parser tallied them while closing
+        elements, or ``None`` for a hand-built, copied or unpickled
+        document (the caller walks the tree instead).  Like the census,
+        the tally assumes the document is no longer mutated; the dict
+        is the document's own and must not be changed."""
+        return self._tag_counts
+
+    def __reduce__(self):
+        # like the census, the tally is not pickled
+        return Document, (self.root, self.doctype_name, self.doctype_system, self.encoding)
 
     def to_tree(self, include_text: bool = True) -> Tree:
         """Labeled-tree view of the whole document (delegates to the root)."""
@@ -340,6 +353,19 @@ def closed_element(
     element = Element(tag, attributes, children)
     element._structure = _census(tag, element.children)
     return element
+
+
+def parsed_document(
+    root: Element,
+    tag_counts: Dict[str, int],
+    doctype_name: Optional[str],
+    doctype_system: Optional[str],
+    encoding: str,
+) -> Document:
+    """A new document carrying the parser's per-tag element tally."""
+    document = Document(root, doctype_name, doctype_system, encoding)
+    document._tag_counts = tag_counts
+    return document
 
 
 def _census(tag: str, children: Sequence[Child]) -> StructureInfo:

@@ -19,7 +19,8 @@ at a time.  When an element's close tag is seen, its census
 (:class:`repro.xmltree.document.StructureInfo`: fingerprint, height,
 weight, child tags, text count) is computed from its children's and
 cached on it, so the consumers downstream never walk the document again
-to rebuild them.
+to rebuild them.  The parser also tallies the elements per tag as they
+close, which the classifier's bound screen reads instead of a walk.
 
 No external dependencies and no ``xml.*`` stdlib modules are used: the
 paper's substrate is rebuilt from scratch per the reproduction brief.
@@ -31,7 +32,13 @@ import re
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import XMLSyntaxError
-from repro.xmltree.document import Document, Element, Text, closed_element
+from repro.xmltree.document import (
+    Document,
+    Element,
+    Text,
+    closed_element,
+    parsed_document,
+)
 
 _PREDEFINED_ENTITIES = {
     "lt": "<",
@@ -282,10 +289,12 @@ class XMLParser:
                 raise self._error(f"duplicate attribute {name!r}", pos)
             attributes[name] = value
 
-    def _element(self, pos: int) -> Tuple[Element, int]:
+    def _element(self, pos: int) -> Tuple[Element, int, Dict[str, int]]:
         """Read the element whose ``<`` is at ``pos``, with its content.
 
-        Returns the element and the position after its end tag.  Each
+        Returns the element, the position after its end tag and the
+        number of elements per tag in its subtree, tallied as each one
+        closes.  Each
         open element is a ``(tag, attributes, children)`` frame on an
         explicit stack; the innermost one lives in locals.  Text runs
         (with references, CDATA sections, comments and processing
@@ -299,7 +308,8 @@ class XMLParser:
         simple_tag = _SIMPLE_TAG.match
         tag, attributes, pos, empty = self._start_tag(pos)
         if empty:
-            return closed_element(tag, attributes, []), pos
+            return closed_element(tag, attributes, []), pos, {tag: 1}
+        tally: Dict[str, int] = {}
         stack: List[Tuple[str, Dict[str, str], List]] = []
         children: List = []
         text: Optional[str] = None
@@ -363,12 +373,14 @@ class XMLParser:
                 text = None
             if closing:
                 element = closed_element(tag, attributes, children)
+                tally[tag] = tally.get(tag, 0) + 1
                 if not stack:
-                    return element, pos
+                    return element, pos, tally
                 tag, attributes, children = stack.pop()
                 children.append(element)
             elif empty:
                 children.append(closed_element(child_tag, child_attributes, []))
+                tally[child_tag] = tally.get(child_tag, 0) + 1
             else:
                 stack.append((tag, attributes, children))
                 tag, attributes, children = child_tag, child_attributes, []
@@ -398,20 +410,17 @@ class XMLParser:
             pos = self._misc(self._doctype(pos))
         if not source.startswith("<", pos) or source.startswith("<!", pos):
             raise self._error("expected the root element", pos)
-        root, pos = self._element(pos)
+        root, pos, tally = self._element(pos)
         pos = self._misc(pos)
         if pos < self._length:
             raise self._error("content after the root element", pos)
-        return Document(
-            root,
-            doctype_name=self.doctype_name,
-            doctype_system=self.doctype_system,
-            encoding=encoding,
+        return parsed_document(
+            root, tally, self.doctype_name, self.doctype_system, encoding
         )
 
     def parse_fragment(self) -> Element:
         """Parse a single element, with nothing but whitespace after it."""
-        root, pos = self._element(self._expect("<", 0) - 1)
+        root, pos, _tally = self._element(self._expect("<", 0) - 1)
         if self._space(pos) < self._length:
             raise self._error("content after the fragment element", self._space(pos))
         return root

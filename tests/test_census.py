@@ -11,9 +11,11 @@ limit.
 import copyreg
 import io
 import pickle
+from collections import Counter
 
 import pytest
 
+from repro.classification.stores import profile_document
 from repro.errors import XMLSyntaxError
 from repro.core.extended_dtd import ExtendedDTD
 from repro.core.recorder import Recorder
@@ -136,6 +138,15 @@ class TestPickling:
             assert clone == document
             _assert_lazy_census_matches(clone.root, document.root)
 
+    def test_the_tag_tally_does_not_travel(self):
+        for document in DOCUMENTS[:40]:
+            assert document.tag_counts() is not None
+            clone = pickle.loads(pickle.dumps(document, pickle.HIGHEST_PROTOCOL))
+            assert clone.tag_counts() is None
+            assert document.copy().tag_counts() is None
+            # the unpickled document is walked; the parsed one reads its tally
+            assert profile_document(clone) == profile_document(document)
+
     def test_a_pickled_document_is_no_larger_than_before(self):
         for document in DOCUMENTS:
             size = len(pickle.dumps(document, pickle.HIGHEST_PROTOCOL))
@@ -177,9 +188,48 @@ class TestDeepDocuments:
         other = parse_dtd("<!ELEMENT d (#PCDATA)>", name="flat")
         assert not Validator(other).is_valid(parse_document(_deep_markup(DEPTH)))
 
+    def test_a_deep_chain_of_undeclared_tags_records(self):
+        """Plus recording follows an undeclared chain under a declared
+        root over an explicit stack."""
+        dtd = parse_dtd("<!ELEMENT r (b)>\n<!ELEMENT b (#PCDATA)>")
+        markup = "<r>" + "<u>" * DEPTH + "x" + "</u>" * DEPTH + "</r>"
+        extended = ExtendedDTD(dtd)
+        Recorder(extended).record(parse_document(markup))
+        record = extended.records["r"]
+        assert record.invalid_count == 1
+        depth = 0
+        while "u" in record.plus_records:
+            record = record.plus_records["u"]
+            assert record.invalid_count == 1
+            depth += 1
+        assert depth == DEPTH
+        assert record.text_count == 1
+        assert extended.sum_invalid_fraction == 1.0  # r is non-valid too
+
     def test_unclosed_deep_document_is_a_syntax_error(self):
         with pytest.raises(XMLSyntaxError, match="unexpected end of input inside <d>"):
             parse_document("<d>" * DEPTH)
+
+
+class TestTagTally:
+    def test_the_tally_counts_every_element(self):
+        for document in DOCUMENTS:
+            walked = Counter(element.tag for element in document.root.iter_elements())
+            assert document.tag_counts() == walked
+
+    def test_the_profile_reads_the_tally_as_the_walk_would(self):
+        for document in DOCUMENTS:
+            walked = profile_document(document.copy())
+            profile = profile_document(document)
+            assert profile == walked
+            assert profile.text_count == sum(
+                element.structure_info().text_count
+                for element in document.root.iter_elements()
+            )
+
+    def test_a_self_closing_root_and_repeated_tags(self):
+        assert parse_document("<a/>").tag_counts() == {"a": 1}
+        assert parse_document("<a><b/><b>x</b></a>").tag_counts() == {"a": 1, "b": 2}
 
 
 class TestRecorderLabels:

@@ -17,6 +17,8 @@ import pytest
 from repro.classification.classifier import Classifier
 from repro.core.engine import XMLSource
 from repro.core.evolution import EvolutionConfig
+from repro.core.extended_dtd import ExtendedDTD
+from repro.core.recorder import Recorder
 from repro.dtd.parser import parse_dtd
 from repro.dtd.serializer import serialize_dtd
 from repro.generators.documents import DocumentGenerator
@@ -74,6 +76,35 @@ def _triples(evaluation):
     ]
 
 
+def _recorded_state(extended):
+    """Everything recording leaves in an extended DTD, floats exactly."""
+    return (
+        extended.document_count,
+        extended.valid_document_count,
+        extended.sum_invalid_fraction.hex(),
+        tuple(
+            (name, record.canonical()) for name, record in extended.records.items()
+        ),
+    )
+
+
+def _proven_and_reference_states(dtd, documents):
+    """Record ``documents`` once told of tier 1's validity proofs and
+    once from the span DP's evaluation."""
+    counters = PerfCounters()
+    classifier = Classifier([dtd], threshold=0.0, counters=counters)
+    proven = ExtendedDTD(dtd)
+    reference = ExtendedDTD(dtd)
+    recorder = Recorder(proven)
+    for document in documents:
+        result = classifier.classify(document)
+        recorder.record(document, proven_valid=result.proven_valid)
+        Recorder(reference).record(
+            document, evaluate_document(document, dtd, SimilarityConfig())
+        )
+    return _recorded_state(proven), _recorded_state(reference), counters
+
+
 def _assert_same_result(fast, slow):
     assert fast.dtd_name == slow.dtd_name
     assert fast.similarity == slow.similarity
@@ -91,13 +122,18 @@ def test_classifier_equivalence_on_vs_off():
     fast_counters = PerfCounters()
     fast = Classifier(dtds, threshold=0.5, counters=fast_counters)
     slow = Classifier(dtds, threshold=0.5, fastpath=FastPathConfig.disabled())
-    for document in _mixed_stream(makers):
-        _assert_same_result(fast.classify(document), slow.classify(document))
+    documents = _mixed_stream(makers)
+    results = [fast.classify(document) for document in documents]
+    # the DP runs classification needed, before the comparison below
+    # realizes the lazy rankings and evaluations
+    classify_dp_runs = fast_counters.dp_runs
+    for result, document in zip(results, documents):
+        _assert_same_result(result, slow.classify(document))
     # the equivalence is only meaningful if the fast paths actually ran
     assert fast_counters.validity_short_circuits > 0
     assert fast_counters.structural_cache_hits > 0
     assert fast_counters.bound_skips > 0
-    assert fast_counters.dp_runs < fast_counters.documents_classified * len(dtds)
+    assert classify_dp_runs < fast_counters.documents_classified * len(dtds)
 
 
 def test_rank_equivalence_on_vs_off():
@@ -177,32 +213,31 @@ def test_valid_document_short_circuits(simple_dtd, valid_simple_doc):
     assert result.dtd_name == "simple"
     assert result.similarity == 1.0
     assert counters.validity_short_circuits == 1
-    assert counters.synthesized_evaluations == 1
+    assert result.proven_valid
+    # classification builds no evaluation: the DP never ran
     assert counters.dp_runs == 0
 
 
-def test_synthesized_evaluation_matches_computed(simple_dtd, valid_simple_doc):
-    """The all-common synthesis equals the DP's evaluation exactly."""
-    counters = PerfCounters()
-    classifier = Classifier([simple_dtd], threshold=0.5, counters=counters)
-    synthesized = classifier.classify(valid_simple_doc).evaluation
-    computed = evaluate_document(valid_simple_doc, simple_dtd, SimilarityConfig())
-    assert counters.synthesized_evaluations == 1
-    assert _triples(synthesized) == _triples(computed)
-    assert synthesized.triple == computed.triple
-    assert synthesized.similarity == computed.similarity == 1.0
+def test_proven_valid_document_records_like_the_dp(simple_dtd, valid_simple_doc):
+    """Recording a tier-1 proven document skips every per-element check
+    and leaves exactly the state the DP's evaluation leaves."""
+    proven, reference, counters = _proven_and_reference_states(
+        simple_dtd, [valid_simple_doc]
+    )
+    assert counters.validity_short_circuits == 1
+    assert proven == reference
+    assert reference[1] == 1  # the valid-document counter
 
 
-def test_synthesized_evaluations_match_across_scenarios():
+def test_proven_valid_recording_matches_across_scenarios():
     dtds, makers = _scenario_set()
     for name, make in sorted(makers.items()):
         dtd = next(d for d in dtds if d.name == name)
-        classifier = Classifier([dtd], threshold=0.5)
-        for document in make(3, seed=11):
-            fast = classifier.classify(document).evaluation
-            slow = evaluate_document(document, dtd, SimilarityConfig())
-            assert _triples(fast) == _triples(slow)
-            assert fast.triple == slow.triple
+        proven, reference, counters = _proven_and_reference_states(
+            dtd, make(3, seed=11)
+        )
+        assert counters.validity_short_circuits == 3
+        assert proven == reference
 
 
 def test_invalid_document_takes_dp_path(simple_dtd):
@@ -347,7 +382,6 @@ def test_thesaurus_disables_fast_paths(simple_dtd):
             fast.classify(parse_document(xml)), slow.classify(parse_document(xml))
         )
     assert counters.validity_short_circuits == 0
-    assert counters.synthesized_evaluations == 0
     assert counters.bound_skips == 0
 
 

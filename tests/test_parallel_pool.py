@@ -117,6 +117,36 @@ def test_broken_pool_rebuilds_mid_batch_with_new_generation():
         assert source.perf_snapshot()["pool_reuses"] >= 1
 
 
+def test_a_broken_retry_leaves_a_live_executor_for_the_next_batch():
+    """When the lethal document sits in the last chunk, its retry is
+    the last submit of the batch and breaks the executor again; no
+    other chunk's retry respins one after it.  The pool must still end
+    the batch with a live executor, so the next batch reuses it."""
+    documents = figure3_workload(12, 0, seed=51)
+    batch = [d.copy() for d in documents]
+    batch[-1] = _as(LethalDocument, batch[-1])
+
+    with _source() as source:
+        outcomes = source.process_many(batch, workers=2, chunk_size=3)
+        pool = source.worker_pool(2)
+        assert len(outcomes) == len(batch)
+        assert pool.live
+        assert source.perf_snapshot()["pool_spinups"] == pool.generation
+        source.process_many([d.copy() for d in documents], workers=2, chunk_size=3)
+        assert source.perf_snapshot()["pool_reuses"] >= 1
+
+
+def test_replace_creates_the_successor_at_once():
+    counters = PerfCounters()
+    pool = WorkerPool(2, counters=counters)
+    pool.submit(len, ()).result()
+    pool.replace()
+    assert pool.live and pool.generation == 2 and counters.pool_spinups == 2
+    assert pool.submit(len, (1,)).result() == 1
+    pool.close()
+    assert not pool.live
+
+
 # ----------------------------------------------------------------------
 # Exactly-once accounting under degradation
 # ----------------------------------------------------------------------
