@@ -11,7 +11,8 @@ architecture"):
 
 - **tier 1**: a valid document scores exactly 1.0 (Section 3.1:
   fullness of the global measure coincides with validity), so a
-  linear-time automaton validation replaces the span DP, and the
+  linear-time automaton check of every element's census
+  (:meth:`Validator.proves_full`) replaces the span DP, and the
   recorder, told the document is valid, skips every per-element check;
 - **tier 3**: :meth:`Classifier.classify` computes a cheap sound upper
   bound per DTD from tag-vocabulary overlap and evaluates DTDs
@@ -327,13 +328,13 @@ class Classifier:
         """Exact similarity of one document against one DTD.
 
         Returns ``(similarity, short_circuited)``; the second flag is
-        True when tier 1 proved the document valid (similarity exactly
-        1.0) without running the span DP.
+        True when tier 1 proved the similarity exactly 1.0 without
+        running the span DP.
         """
         counters = self.counters
         if tier1:
             counters.validations += 1
-            if validator.is_valid(document):
+            if validator.proves_full(document):
                 counters.validity_short_circuits += 1
                 return 1.0, True
         similarity = matcher.document_similarity(document.root)
@@ -445,7 +446,7 @@ class Classifier:
         if tier1 and best_similarity == 1.0:
             # recover whether the winner was a validity short-circuit,
             # which spares the recorder its per-element checks
-            if self._validators[best_name].is_valid(document):
+            if self._validators[best_name].proves_full(document):
                 short_circuited.add(best_name)
         return self._finish(document, evaluated, evaluated, (), short_circuited)
 

@@ -340,6 +340,10 @@ class ValidationReport:
         return f"ValidationReport({status}, {self.elements_checked} elements)"
 
 
+#: (is_any, is_empty, allows_pcdata, is_mixed, declared_labels, undecided)
+_Facts = Tuple[bool, bool, bool, bool, FrozenSet[str], bool]
+
+
 class Validator:
     """Boolean DTD validator (automata are built lazily and cached)."""
 
@@ -347,11 +351,10 @@ class Validator:
         self.dtd = dtd
         self._automata: Dict[str, ContentAutomaton] = {}
         # per-declaration facts consulted on every element check:
-        # (is_any, is_empty, allows_pcdata, is_mixed, declared_labels)
-        self._decl_facts: Dict[str, Tuple[bool, bool, bool, bool, FrozenSet[str]]] = {}
-        # declarations whose local fullness the automaton cannot decide
-        # (see :meth:`content_is_full`)
-        self._undecided: Dict[str, bool] = {}
+        # (is_any, is_empty, allows_pcdata, is_mixed, declared_labels,
+        # undecided: the automaton cannot decide local fullness, see
+        # :meth:`content_is_full`)
+        self._decl_facts: Dict[str, _Facts] = {}
 
     def _automaton(self, name: str) -> Optional[ContentAutomaton]:
         if name not in self._automata:
@@ -361,18 +364,21 @@ class Validator:
             self._automata[name] = ContentAutomaton(decl.content)
         return self._automata[name]
 
-    def _facts(self, name: str) -> Optional[Tuple[bool, bool, bool, bool, FrozenSet[str]]]:
+    def _facts(self, name: str) -> Optional[_Facts]:
         facts = self._decl_facts.get(name)
         if facts is None:
             decl = self.dtd.get(name)
             if decl is None:
                 return None
+            allows_pcdata = cm.contains_pcdata(decl.content)
             facts = (
                 decl.is_any,
                 decl.is_empty,
-                cm.contains_pcdata(decl.content),
+                allows_pcdata,
                 decl.is_mixed,
                 decl.declared_labels(),
+                allows_pcdata
+                or any(node.label == cm.ANY for node in decl.content.iter_preorder()),
             )
             self._decl_facts[name] = facts
         return facts
@@ -426,13 +432,37 @@ class Validator:
                 stack.extend(element.element_children())
         return True
 
+    def proves_full(self, document: Document) -> bool:
+        """True when the census proves the document's global similarity
+        is exactly 1.0: the root is the DTD root and every element's
+        content is full by :meth:`content_is_full`.
+
+        This is tier 1's proof.  It reads full similarity with the span
+        DP's rules rather than :meth:`is_valid`'s, so the two can only
+        disagree where the DP would score 1.0 anyway (an ``EMPTY``
+        element holding whitespace) or where the automaton cannot
+        decide (``None``): such a document is not proven, and the DP
+        scores it.
+        """
+        if document.root.tag != self.dtd.root:
+            return False
+        stack: List[Element] = [document.root]
+        while stack:
+            element = stack.pop()
+            info = element.structure_info()
+            if self.content_is_full(element.tag, info) is not True:
+                return False
+            if info.child_tags:
+                stack.extend(element.element_children())
+        return True
+
     def _element_is_valid(self, element: Element, info: StructureInfo) -> bool:
         """One element's checks, mirroring :meth:`_check_element` exactly,
         read from the element's census."""
         facts = self._facts(element.tag)
         if facts is None:
             return False
-        is_any, is_empty, allows_pcdata, is_mixed, allowed = facts
+        is_any, is_empty, allows_pcdata, is_mixed, allowed, _ = facts
         if is_any:
             return True
         if is_empty:
@@ -465,20 +495,13 @@ class Validator:
         facts = self._facts(name)
         if facts is None:
             return False
-        is_any, is_empty, allows_pcdata, is_mixed, allowed = facts
+        is_any, is_empty, _, is_mixed, allowed, undecided = facts
         if is_any:
             return True
         if is_empty:
             return not info.child_tags and not info.text_count
         if is_mixed:
             return all(tag in allowed for tag in info.child_tags)
-        undecided = self._undecided.get(name)
-        if undecided is None:
-            undecided = allows_pcdata or any(
-                node.label == cm.ANY
-                for node in self.dtd.get(name).content.iter_preorder()
-            )
-            self._undecided[name] = undecided
         if undecided:
             return None
         if info.text_count:

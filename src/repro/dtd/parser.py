@@ -26,6 +26,10 @@ from repro.xmltree.tree import Tree
 
 _NAME_EXTRA = set("_:-.")
 
+#: names a content particle cannot have: the content-model vocabulary
+#: reads them as the basic types and operators, not as element names
+_RESERVED_PARTICLES = frozenset({cm.ANY, cm.EMPTY, cm.AND, cm.OR})
+
 
 def _is_name_start(char: str) -> bool:
     return char.isalpha() or char in "_:"
@@ -83,6 +87,18 @@ class _DTDScanner:
             self.advance()
         return self.source[start : self.pos]
 
+    def read_particle_name(self) -> str:
+        """A name inside a content model, rejecting reserved labels."""
+        start = self.pos
+        name = self.read_name()
+        if name in _RESERVED_PARTICLES:
+            self.pos = start
+            raise self.error(
+                f"{name!r} cannot name a content particle "
+                "(it is reserved in content models)"
+            )
+        return name
+
     def read_quoted(self) -> str:
         quote = self.peek()
         if quote not in ("'", '"'):
@@ -123,7 +139,7 @@ def _parse_cp(scanner: _DTDScanner) -> Tree:
         return _read_suffix(scanner, group)
     if scanner.peek() == "%":
         raise scanner.error("parameter-entity references are not supported")
-    name = scanner.read_name()
+    name = scanner.read_particle_name()
     return _read_suffix(scanner, Tree.leaf(name))
 
 
@@ -163,7 +179,7 @@ def _parse_mixed_tail(scanner: _DTDScanner) -> Tree:
     while scanner.peek() == "|":
         scanner.advance()
         scanner.skip_whitespace()
-        names.append(scanner.read_name())
+        names.append(scanner.read_particle_name())
         scanner.skip_whitespace()
     scanner.expect(")")
     if names:

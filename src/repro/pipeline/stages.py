@@ -28,6 +28,7 @@ unchanged).
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 try:
@@ -51,6 +52,7 @@ from repro.pipeline.events import (
     EvolutionStarted,
     RepositoryDrained,
 )
+from repro.perf import COUNTER_NAMES
 from repro.xmltree.document import Document
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine → stages)
@@ -430,6 +432,10 @@ class DrainStage(_SourceStage):
         return recovered
 
 
+#: every counter of a :class:`repro.perf.PerfCounters`, as one tuple
+_read_counters = attrgetter(*COUNTER_NAMES)
+
+
 class Pipeline:
     """Drives the staged Figure-1 loop for one source.
 
@@ -454,8 +460,9 @@ class Pipeline:
             self.evolve_stage,
             self.drain_stage,
         )
-        #: counter values already attributed to an emitted event
-        self._perf_attributed: Dict[str, int] = {}
+        #: counter values already attributed to an emitted event, in
+        #: ``COUNTER_NAMES`` order
+        self._perf_attributed: Tuple[int, ...] = (0,) * len(COUNTER_NAMES)
 
     # ------------------------------------------------------------------
     # Event plumbing
@@ -467,13 +474,16 @@ class Pipeline:
     def perf_delta(self) -> Dict[str, int]:
         """Counter increments since the previous emitted event (sparse:
         zero entries are dropped), attributing them to the next one."""
-        snapshot = self.source.perf.snapshot()
-        delta = {
-            name: value - self._perf_attributed.get(name, 0)
-            for name, value in snapshot.items()
-        }
+        snapshot = _read_counters(self.source.perf)
+        attributed = self._perf_attributed
+        if snapshot == attributed:
+            return {}
         self._perf_attributed = snapshot
-        return {name: value for name, value in delta.items() if value}
+        return {
+            name: value - before
+            for name, value, before in zip(COUNTER_NAMES, snapshot, attributed)
+            if value != before
+        }
 
     # ------------------------------------------------------------------
     # Entry points

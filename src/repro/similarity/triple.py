@@ -96,20 +96,3 @@ class EvalTriple(NamedTuple):
 
 ZERO = EvalTriple()
 
-
-def best(candidates, config: SimilarityConfig) -> EvalTriple:
-    """The candidate triple with the highest linear score.
-
-    Ties break toward the earliest candidate, which callers exploit to
-    prefer structurally simpler alignments.
-    """
-    chosen = None
-    chosen_score = float("-inf")
-    for candidate in candidates:
-        candidate_score = candidate.score(config)
-        if candidate_score > chosen_score:
-            chosen = candidate
-            chosen_score = candidate_score
-    if chosen is None:
-        raise ValueError("best() requires at least one candidate")
-    return chosen

@@ -56,6 +56,29 @@ class TestContentModelSyntax:
         with pytest.raises(DTDSyntaxError, match=message):
             parse_content_model(source)
 
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "(a | ANY)",
+            "(a, EMPTY)",
+            "(ANY)*",
+            "(a, (b | AND))",
+            "(OR)",
+            "(#PCDATA | a | EMPTY)*",
+        ],
+    )
+    def test_reserved_names_are_not_particles(self, source):
+        """``ANY``/``EMPTY`` are whole content specs, never particles,
+        and ``AND``/``OR`` are operator labels of the model tree."""
+        with pytest.raises(DTDSyntaxError, match="cannot name a content particle"):
+            parse_content_model(source)
+
+    def test_names_that_merely_start_like_reserved_ones_parse(self):
+        assert parse_content_model("(ANYTHING, (EMPTYish | ORDER))").to_tuple() == (
+            "AND",
+            ["ANYTHING", ("OR", ["EMPTYish", "ORDER"])],
+        )
+
 
 class TestDTDParsing:
     def test_figure2_dtd(self):
@@ -126,3 +149,8 @@ class TestDTDParsing:
         with pytest.raises(DTDSyntaxError) as info:
             parse_dtd("<!ELEMENT a (#PCDATA)>\n<!ELEMENT b (,)>")
         assert info.value.line == 2
+
+    def test_a_reserved_particle_is_located_at_its_name(self):
+        with pytest.raises(DTDSyntaxError) as info:
+            parse_dtd("<!ELEMENT a (#PCDATA)>\n<!ELEMENT x (a | ANY)>")
+        assert (info.value.line, info.value.column) == (2, 18)

