@@ -158,3 +158,29 @@ class TestWeights:
         assert first == second
         matcher.clear_cache()
         assert matcher.document_similarity(doc.root) == first
+
+
+class TestMinimalWeights:
+    #: ``a`` requires ``c`` and ``c`` requires ``a``: the cycle guard
+    #: truncates each one's minimal instance inside the other's
+    _RECURSIVE = "<!ELEMENT a (d, c)><!ELEMENT c (a)><!ELEMENT d EMPTY>"
+
+    @pytest.mark.parametrize("order", [("a", "c"), ("c", "a")])
+    def test_recursive_dtd_weights_do_not_depend_on_ask_order(self, order):
+        matcher = _matcher(self._RECURSIVE)
+        triples = {
+            tag: matcher.triple_against(parse_document(f"<{tag}/>").root, tag)
+            for tag in order
+        }
+        # a missing (d, c) owes d (1) plus c's instance c(a(d, c)) with
+        # the inner c cut off (4); a missing (a) owes a(d, c(a)) (4)
+        assert triples["a"].minus == 5.0
+        assert triples["c"].minus == 4.0
+        assert (matcher._min_weight("a"), matcher._min_weight("c")) == (4.0, 4.0)
+
+    def test_weight_inside_a_recursion_sees_only_reachable_open_tags(self):
+        matcher = _matcher(self._RECURSIVE + "<!ELEMENT r (a)>")
+        # r is open but no instance of d or a reaches it
+        assert matcher._min_weight("a", frozenset({"r"})) == matcher._min_weight("a")
+        # a(d, c) with c already open counts c as 1
+        assert matcher._min_weight("a", frozenset({"c"})) == 3.0

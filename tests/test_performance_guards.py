@@ -12,6 +12,7 @@ from repro.core.recorder import Recorder
 from repro.dtd.automaton import ContentAutomaton
 from repro.dtd.parser import parse_content_model, parse_dtd
 from repro.similarity.evaluation import evaluate_document
+from repro.similarity.matcher import StructureMatcher
 from repro.xmltree.parser import parse_document
 
 
@@ -61,6 +62,27 @@ class TestSimilarityScaling:
         document = parse_document(xml)
         evaluation = _timed(lambda: evaluate_document(document, dtd), 5.0)
         assert evaluation.similarity == 1.0
+
+    @pytest.mark.parametrize("model", ["(x)*", "(#PCDATA | x)*"])
+    def test_wide_flat_element_against_capped_repetition(self, model):
+        """A repetition body is offered segments of at most its cap, so
+        20,000 children cost O(n·cap) body cells, not O(n²)."""
+        dtd = parse_dtd(f"<!ELEMENT r {model}><!ELEMENT x (#PCDATA)>")
+        document = parse_document("<r>" + "<x>1</x>" * 20000 + "</r>")
+        evaluation = _timed(lambda: evaluate_document(document, dtd), 20.0)
+        assert evaluation.similarity == 1.0
+
+    def test_required_dag_weights_are_shared(self):
+        """``t0`` requires two ``t1``, each two ``t2``, ...: the minimal
+        instance has 2^23 - 1 elements, but each tag's weight is found
+        once, not once per path."""
+        depth = 22
+        dtd = parse_dtd(
+            "".join(f"<!ELEMENT t{i} (t{i + 1}, t{i + 1})>" for i in range(depth))
+            + f"<!ELEMENT t{depth} EMPTY>"
+        )
+        matcher = StructureMatcher(dtd)
+        assert _timed(lambda: matcher._min_weight("t0"), 1.0) == 2.0 ** (depth + 1) - 1
 
     def test_moderate_sequence_model(self):
         dtd = parse_dtd(
